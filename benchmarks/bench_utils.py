@@ -25,8 +25,10 @@ def emit(results_dir, name, text):
 def campaign_spec(name, artifacts, **options):
     """Build a bench-scoped CampaignSpec rooted under benchmarks/results.
 
-    ``REPRO_BENCH_WORKERS`` selects the pool size (default 0 = in-process,
-    which keeps pytest-benchmark timings comparable to the serial path).
+    ``REPRO_BENCH_WORKERS`` selects the worker count: the default 0 runs
+    the cells in-process (the serial reference, which keeps
+    pytest-benchmark timings comparable), and N > 1 drains them on the
+    durable work queue with a local fleet of N workers.
     """
     import os
 

@@ -12,10 +12,11 @@ script driven on ``.bench`` files):
 * ``gen``      — emit one of the registered benchmark stand-ins;
 * ``circuits`` — list / show / verify the circuit-source registry
   (generated stand-ins and the checked-in ``.bench`` corpus);
-* ``campaign`` — run/resume/inspect parallel attack campaigns over the
-  paper's (circuit x technique x attack) grid (``--backend=queue``
-  drains a durable work queue with lease recovery, retry/backoff and
-  poison-cell quarantine; ``retry`` requeues unhealthy cells);
+* ``campaign`` — run/resume/inspect attack campaigns over the paper's
+  (circuit x technique x attack) grid (in-process with ``--workers``
+  <= 1, else a local fleet drains a durable work queue with lease
+  recovery, retry/backoff and poison-cell quarantine; ``retry``
+  requeues unhealthy cells);
 * ``worker`` — drain a campaign's durable work queue from this process
   (run any number, on any host sharing the campaign directory);
 * ``prepstore`` — inspect or wipe the shared cross-campaign preparation
@@ -264,8 +265,6 @@ def _campaign_spec_from_args(args):
         spec.workers = args.workers
     if args.cell_timeout is not None:
         spec.cell_timeout = args.cell_timeout
-    if args.backend is not None:
-        spec.backend = args.backend
     queue_overrides = {
         "lease_ttl": args.lease_ttl,
         "max_attempts": args.max_attempts,
@@ -274,7 +273,7 @@ def _campaign_spec_from_args(args):
     for key, value in queue_overrides.items():
         if value is not None:
             spec.queue = dict(spec.queue, **{key: value})
-    # Re-validate the scheduling overrides (backend name, queue config).
+    # Re-validate the scheduling overrides (queue config).
     spec.__post_init__()
     return spec
 
@@ -308,6 +307,8 @@ def _cmd_campaign_run(args):
     print(result.summary())
     for cell_id, error in result.errors:
         print(f"cell {cell_id} failed:\n{error}", file=sys.stderr)
+    for cell_id in result.poisoned:
+        print(f"cell {cell_id} quarantined as poisoned", file=sys.stderr)
     if result.complete:
         for path in write_reports(spec, result.tables):
             print(f"wrote {path}")
@@ -316,7 +317,7 @@ def _cmd_campaign_run(args):
             f"campaign incomplete ({result.total - result.ran - result.skipped}"
             " cells pending); rerun `repro campaign run` to finish"
         )
-    return 1 if result.errors else 0
+    return 1 if result.errors or result.poisoned else 0
 
 
 def _print_prep_stats(status):
@@ -399,19 +400,20 @@ def _cmd_worker(args):
     import os
 
     from .experiments.campaign import CampaignError, load_spec
-    from .experiments.worker import worker_loop
+    from .experiments.worker import fill_queue, worker_loop
 
     directory = os.path.abspath(args.campaign_dir)
     spec_path = os.path.join(directory, "spec.json")
     try:
         spec = load_spec(path=spec_path)
+        # Anchor the spec to the directory actually given, so a campaign
+        # tree that was moved (or is mounted at a different path on this
+        # host) still drains correctly.
+        spec.results_root = os.path.dirname(directory)
+        spec.name = os.path.basename(directory)
+        fill_queue(spec).close()
     except CampaignError as exc:
         raise SystemExit(f"worker error: {exc}")
-    # Anchor the spec to the directory actually given, so a campaign
-    # tree that was moved (or is mounted at a different path on this
-    # host) still drains correctly.
-    spec.results_root = os.path.dirname(directory)
-    spec.name = os.path.basename(directory)
     stats = worker_loop(
         spec,
         worker_id=args.worker_id,
@@ -699,24 +701,21 @@ def build_parser():
     c.add_argument("--og-limit", type=float,
                    help="overall KRATT-OG attack budget per cell (s)")
     c.add_argument("--workers", type=int,
-                   help="worker processes (<=1 runs in-process)")
-    c.add_argument("--backend", choices=["pool", "queue"], default=None,
-                   help="execution backend: pool (in-process/multiprocessing)"
-                        " or queue (durable work queue with lease recovery, "
-                        "retry/backoff and poison-cell quarantine)")
+                   help="<=1 runs cells in-process (the serial reference); "
+                        "N>1 drains a durable work queue with N local workers")
     c.add_argument("--lease-ttl", type=float,
-                   help="queue backend: seconds a claimed cell's lease "
+                   help="work queue: seconds a claimed cell's lease "
                         "stays valid without a heartbeat")
     c.add_argument("--max-attempts", type=int,
-                   help="queue backend: failed claims before a cell is "
+                   help="work queue: failed claims before a cell is "
                         "quarantined as status=poisoned")
     c.add_argument("--backoff-base", type=float,
-                   help="queue backend: first retry delay (s); doubles per "
+                   help="work queue: first retry delay (s); doubles per "
                         "attempt with deterministic jitter")
     c.add_argument("--cell-timeout", type=float,
-                   help="HARD per-cell wall-clock limit (s): cells run in "
-                        "killable processes and overruns are terminated and "
-                        "recorded as status=timeout")
+                   help="HARD per-cell wall-clock limit (s): cells run on the "
+                        "work queue in killable processes and overruns are "
+                        "terminated and recorded as status=timeout")
     c.add_argument("--limit", type=int,
                    help="run at most N pending cells, then stop")
     c.add_argument("--fresh", action="store_true",

@@ -7,18 +7,22 @@ Fig. 6, the Valkyrie-style census) from a declarative
 definitions in :mod:`repro.experiments.tables` decompose into — and the
 orchestrator:
 
-* shards the pending cells across a ``multiprocessing`` worker pool
-  (``workers <= 1`` runs them in-process, which is what the unit-timed
-  benchmark scripts use);
+* runs the pending cells on one of two paths: in-process, one after
+  another, when ``workers <= 1`` and no ``cell_timeout`` is set — the
+  serial reference, which the unit-timed benchmark scripts use — or
+  else on the durable work queue (:mod:`repro.experiments.queue`)
+  drained by a local fleet of ``max(1, workers)`` worker processes
+  (:mod:`repro.experiments.worker`), with lease recovery, bounded
+  retries and poison-cell quarantine;
 * persists every finished cell as one JSON record under
   ``<results_root>/<name>/cells/``, so an interrupted or killed campaign
   resumes by running only the missing cells;
 * aggregates the completed grid back into the paper-style tables through
   the same ``aggregate`` functions the serial row builders use — the
-  parallel path is bit-identical to the serial one by construction;
-* enforces ``cell_timeout`` as a **hard** limit: with a timeout set,
-  every cell runs in its own killable worker process, a cell exceeding
-  the budget is terminated (SIGTERM, then SIGKILL) and persisted as a
+  queue path is bit-identical to the serial one by construction;
+* enforces ``cell_timeout`` as a **hard** limit: each cell runs in a
+  killable child of its queue worker, a cell exceeding the budget is
+  terminated (SIGTERM, then SIGKILL) and persisted as a
   ``status="timeout"`` record, and resume treats that record as
   completed-with-timeout instead of retrying the pathological cell
   forever.  Timed-out cells are excluded from aggregation, so the
@@ -28,17 +32,13 @@ The on-disk layout of a campaign ``<name>``::
 
     <results_root>/<name>/spec.json        # the expanded, resolved spec
     <results_root>/<name>/cells/<id>.json  # one record per finished cell
+    <results_root>/<name>/queue.sqlite     # work queue (queue path only)
     <results_root>/<name>/<artifact>.txt   # rendered tables (report step)
-
-This module is the seam future scaling work (async backends, distributed
-sharding, remote result stores) plugs into: backends only need to map
-``run one cell payload -> cell record``.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -61,7 +61,6 @@ from . import faultinject, tables
 __all__ = [
     "Artifact",
     "ARTIFACTS",
-    "BACKENDS",
     "CampaignSpec",
     "CampaignCell",
     "CampaignResult",
@@ -76,11 +75,6 @@ __all__ = [
     "sum_prep_stats",
     "DEFAULT_RESULTS_ROOT",
 ]
-
-#: Execution backends ``run_campaign`` dispatches on.  "pool" is the
-#: in-process/multiprocessing path; "queue" drains a durable work queue
-#: with lease recovery, retry/backoff and poison-cell quarantine.
-BACKENDS = ("pool", "queue")
 
 #: Default landing zone for campaign results, next to the bench outputs.
 DEFAULT_RESULTS_ROOT = os.path.join(
@@ -210,18 +204,19 @@ class CampaignSpec:
     ``baseline_time_limit``, ``ol_time_limit`` and ``og_time_limit``
     (artifacts ignore keys they do not use).
 
-    ``cell_timeout`` (seconds) is a *hard* per-cell wall-clock limit:
-    cells run in killable worker processes and are terminated and
-    recorded as ``status="timeout"`` once it elapses.  ``None`` keeps
-    the soft accounting-free behaviour.
-
-    ``backend`` selects the execution layer: ``"pool"`` (default) is
-    the in-process/multiprocessing path; ``"queue"`` serializes cells
-    into a durable SQLite work queue drained by killable worker
-    processes with lease recovery, bounded retries and poison-cell
-    quarantine.  ``queue`` tunes that backend (see
+    ``workers`` and ``cell_timeout`` pick the execution path.  With
+    ``workers <= 1`` and no ``cell_timeout`` cells run in-process, one
+    after another: the serial reference.  Otherwise they run on a
+    durable SQLite work queue drained by a local fleet of
+    ``max(1, workers)`` worker processes, with lease recovery, bounded
+    retries and poison-cell quarantine; ``queue`` tunes it (see
     :class:`repro.experiments.queue.QueueConfig`: ``lease_ttl``,
     ``max_attempts``, ``backoff_base``, ...).
+
+    ``cell_timeout`` (seconds) is a *hard* per-cell wall-clock limit:
+    each cell runs in a killable child of its worker and is terminated
+    and recorded as ``status="timeout"`` once it elapses.  ``None``
+    keeps the soft accounting-free behaviour.
     """
 
     name: str
@@ -231,7 +226,6 @@ class CampaignSpec:
     cell_timeout: float = None
     results_root: str = None
     mp_context: str = None  # "fork" | "spawn" | None = platform default
-    backend: str = "pool"
     queue: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -244,10 +238,6 @@ class CampaignSpec:
         if unknown:
             raise CampaignError(
                 f"unknown artifacts {unknown}; known: {sorted(ARTIFACTS)}"
-            )
-        if self.backend not in BACKENDS:
-            raise CampaignError(
-                f"unknown backend {self.backend!r}; known: {list(BACKENDS)}"
             )
         try:
             QueueConfig.from_dict(self.queue)
@@ -265,9 +255,12 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data):
+        # Specs written while the path was picked by a ``backend`` field
+        # still carry it; ``workers``/``cell_timeout`` decide now.
+        data = {k: v for k, v in data.items() if k != "backend"}
         known = {
             "name", "artifacts", "options", "workers", "cell_timeout",
-            "results_root", "mp_context", "backend", "queue",
+            "results_root", "mp_context", "queue",
         }
         unknown = set(data) - known
         if unknown:
@@ -480,7 +473,7 @@ def sum_prep_stats(records):
 
 
 def _run_cell_payload(payload):
-    """Execute one cell; module-level so worker pools can pickle it."""
+    """Execute one cell; module-level so worker processes can pickle it."""
     artifact_name, params, options = payload
     # Fault-injection site: a worker SIGKILLed the moment cell work
     # starts (no-op unless REPRO_FAULT_KILL_RATE is exported).
@@ -494,7 +487,7 @@ def _run_cell_payload(payload):
         result, status, error = None, "error", traceback.format_exc()
     # Cells that prepared a circuit report its provenance (qualified id,
     # source, content digest); lift it into the canonical record so
-    # every backend persists it.
+    # both execution paths persist it.
     circuit = result.get("circuit") if isinstance(result, dict) else None
     return make_cell_record(
         artifact=artifact_name,
@@ -508,201 +501,12 @@ def _run_cell_payload(payload):
     )
 
 
-def _pool_context(spec):
-    if spec.mp_context:
-        return multiprocessing.get_context(spec.mp_context)
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-#: Sentinel the cell worker sends the moment it starts executing the
-#: payload, so the parent bills ``cell_timeout`` against cell work, not
-#: process bootstrap (interpreter start + imports under spawn contexts).
-_CELL_STARTED = "__cell_started__"
-
-#: Extra allowance for process bootstrap before the started sentinel
-#: arrives; a child hung in imports is still killed, just not a healthy
-#: spawn-context worker that spent seconds booting.
-_BOOT_GRACE_S = 30.0
-
-#: Sentinel for "the cell worker's pipe is closed and empty" — the
-#: child exited (or was SIGKILLed) without sending a record.  Distinct
-#: from ``None`` ("no message yet") so crash classification is
-#: immediate instead of hinging on a grace-poll race.
-_PIPE_CLOSED = "__pipe_closed__"
-
-
-def _run_cell_child(payload, conn):
-    """Per-cell worker-process entry point: run the cell, pipe the record."""
-    conn.send(_CELL_STARTED)
-    record = _run_cell_payload(payload)
-    conn.send(record)
-    conn.close()
-
-
-def _kill_process(proc):
-    """Terminate a cell worker, escalating to SIGKILL if it lingers."""
-    proc.terminate()
-    proc.join(1.0)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(1.0)
-
-
-#: Poll interval of the hard-timeout scheduler; bounds how far past
-#: ``cell_timeout`` a kill can land (well inside the ~2x-timeout budget
-#: the tests assert).
-_WATCHDOG_POLL_S = 0.02
-
-
-def _run_cells_hard_timeout(spec, todo, payloads, finish):
-    """Run cells in killable per-cell processes, enforcing ``cell_timeout``.
-
-    Unlike the pool path, each cell gets its own process and pipe: a cell
-    overrunning the budget is killed (terminate, then kill) without
-    poisoning any shared queue, and the parent writes a
-    ``status="timeout"`` record in its place so the shard keeps moving.
-    Up to ``spec.workers`` cells run concurrently (``<= 1`` serializes
-    them, still isolated so the kill semantics hold).
-
-    Trade-off: per-cell processes start with a cold per-process
-    :class:`~repro.experiments.harness.PrepCache`, so campaigns opting
-    into ``cell_timeout`` repay each cell's preparation instead of
-    amortizing it across a long-lived pool worker.  That is the price of
-    a kill that cannot corrupt shared state; cross-campaign prep sharing
-    is the ROADMAP's answer for getting the amortization back.
-    """
-    ctx = _pool_context(spec)
-    limit = spec.cell_timeout
-    workers = max(1, spec.workers or 1)
-    pending = list(zip(todo, payloads))
-    pending.reverse()  # pop() from the tail preserves expansion order
-    active = []  # [proc, conn, cell, started_at, booted]
-
-    def drain(conn):
-        """Next message, ``None`` (nothing yet), or ``_PIPE_CLOSED``.
-
-        A SIGKILLed child closes its pipe end with nothing buffered;
-        ``poll`` reports readable and ``recv`` raises ``EOFError``
-        immediately.  Returning a distinct sentinel (instead of folding
-        EOF into "no message yet") lets the reaper classify the crash
-        the moment it happens — no 0.5s grace poll, no race between the
-        poll window and a record that will never arrive.
-        """
-        if not conn.poll(0):
-            return None
-        try:
-            return conn.recv()
-        except EOFError:
-            return _PIPE_CLOSED
-
-    def reap(entry):
-        """Harvest one active slot; returns False while still running."""
-        proc, conn, cell, started, booted = entry
-        record = drain(conn)
-        if record == _CELL_STARTED:
-            # Payload execution begins now: restart the budget clock so
-            # bootstrap (interpreter + imports under spawn) is not billed.
-            started = entry[3] = time.monotonic()
-            booted = entry[4] = True
-            record = drain(conn)
-        pipe_closed = record is _PIPE_CLOSED
-        if pipe_closed:
-            record = None
-        if record is None and not pipe_closed and proc.is_alive():
-            allowance = limit if booted else limit + _BOOT_GRACE_S
-            if time.monotonic() - started <= allowance:
-                return False
-            _kill_process(proc)
-            # A cell that finished in the kill window still gets its
-            # real record (finish() marks it timed_out by elapsed).
-            killed = drain(conn)
-            if killed is None or killed is _PIPE_CLOSED:
-                killed = make_cell_record(
-                    artifact=cell.artifact,
-                    params=cell.params,
-                    status="timeout",
-                    elapsed=time.monotonic() - started,
-                    pid=proc.pid,
-                    timed_out=True,
-                    cell_timeout=limit,
-                )
-            record = killed
-        elif record is None and not pipe_closed:
-            # Exited with the pipe still open (exotic: teardown raced
-            # the exit): give an in-flight record one last chance.
-            if conn.poll(0.5):
-                message = drain(conn)
-                record = None if message is _PIPE_CLOSED else message
-        proc.join(5.0)
-        if proc.is_alive():
-            _kill_process(proc)
-        conn.close()
-        if record is None:
-            # Closed pipe / silent exit with no record: the worker died
-            # mid-cell (SIGKILL, OOM, segfault).  Canonical crash
-            # record — same shape as every other status, so the crash
-            # is persisted for forensics and the cell stays retryable.
-            record = make_cell_record(
-                artifact=cell.artifact,
-                params=cell.params,
-                status="error",
-                error=(
-                    f"cell worker died without a result "
-                    f"(exitcode {proc.exitcode})"
-                ),
-                elapsed=time.monotonic() - started,
-                pid=proc.pid,
-                cell_timeout=limit,
-            )
-        finish(cell, record)
-        return True
-
-    try:
-        while pending or active:
-            while pending and len(active) < workers:
-                cell, payload = pending.pop()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_run_cell_child, args=(payload, child_conn)
-                )
-                proc.daemon = True
-                proc.start()
-                child_conn.close()
-                active.append(
-                    [proc, parent_conn, cell, time.monotonic(), False]
-                )
-            active = [entry for entry in active if not reap(entry)]
-            if active:
-                time.sleep(_WATCHDOG_POLL_S)
-    finally:
-        for proc, conn, _cell, _started, _booted in active:
-            _kill_process(proc)
-            conn.close()
-
-
-def run_one_cell_hard(spec, cell, payload):
-    """Run a single cell under the hard-timeout kill machinery.
-
-    The queue worker's per-cell path: same killable child process, boot
-    grace, watchdog and crash classification as the batch runner, for
-    exactly one cell.  Returns the raw record (not yet finalized).
-    """
-    out = {}
-
-    def finish(_cell, record):
-        out["record"] = record
-
-    _run_cells_hard_timeout(spec, [cell], [payload], finish)
-    return out["record"]
-
-
 def finalize_cell_record(record, cell_id, cell_timeout=None):
     """Stamp identity + accounting onto a raw record (canonical shape).
 
-    Single exit point for every backend: ensures the record carries
-    ``cell_id``, ``timed_out`` and ``cell_timeout`` no matter which
-    runner produced it, so persisted records always validate.
+    Single exit point for both execution paths: ensures the record
+    carries ``cell_id``, ``timed_out`` and ``cell_timeout`` no matter
+    which runner produced it, so persisted records always validate.
     """
     record.setdefault("result", None)
     record.setdefault("error", None)
@@ -724,17 +528,23 @@ def finalize_cell_record(record, cell_id, cell_timeout=None):
 def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
     """Run (or resume) a campaign; returns a :class:`CampaignResult`.
 
+    With ``spec.workers <= 1`` and no ``spec.cell_timeout`` the cells
+    run in-process, in grid order: the serial reference every other
+    run must reproduce.  Otherwise they run on the durable work queue
+    with a local fleet of ``max(1, spec.workers)`` workers.
+
     Parameters
     ----------
     resume:
         Skip cells whose JSON record already exists (the default).  With
-        ``False`` every cell is recomputed but records are still written,
-        so a later ``status``/``report`` sees a complete campaign.
+        ``False`` every cell is recomputed and its record rewritten, so
+        a later ``status``/``report`` sees a complete campaign.
     fresh:
-        Delete existing cell records first (implies nothing is resumed).
+        Delete existing cell records (and the queue derived from them)
+        first; implies nothing is resumed.
     limit:
-        Stop after scheduling at most this many pending cells — the hook
-        the smoke tests use to manufacture partial campaigns.
+        Run at most this many pending cells — the hook the smoke tests
+        use to manufacture partial campaigns.
     progress:
         Optional callable receiving one line per finished cell.
     """
@@ -761,6 +571,7 @@ def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
         for entry in os.listdir(spec.cells_dir):
             if entry.endswith(".json"):
                 os.unlink(os.path.join(spec.cells_dir, entry))
+        CellQueue.destroy(spec.directory)
 
     cells = expand_cells(spec)
     todo = []
@@ -779,7 +590,7 @@ def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
     poisoned = []
     prep_totals = {}
 
-    def account(cell_id, record, emit=True):
+    def account(cell_id, record):
         for key, value in (record.get("prep") or {}).items():
             if isinstance(value, (int, float)):
                 prep_totals[key] = prep_totals.get(key, 0) + value
@@ -789,30 +600,39 @@ def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
             poisoned.append(cell_id)
         elif record["status"] == "error":
             errors.append((cell_id, record["error"]))
-        if emit and progress is not None:
-            progress(
-                f"[{record['status']}] {cell_id} "
-                f"({record['elapsed']:.2f}s, pid {record['pid']})"
+
+    if (spec.workers or 0) <= 1 and spec.cell_timeout is None:
+        for cell in todo:
+            record = finalize_cell_record(
+                _run_cell_payload((cell.artifact, cell.params, spec.options)),
+                cell.cell_id,
             )
-
-    def finish(cell, record):
-        record = finalize_cell_record(
-            record, cell.cell_id, cell_timeout=spec.cell_timeout
-        )
-        # Every status is persisted — error records are crash forensics
-        # (resume still treats them as pending and re-runs the cell).
-        _atomic_write_json(
-            os.path.join(spec.cells_dir, f"{cell.cell_id}.json"), record
-        )
-        account(cell.cell_id, record)
-
-    payloads = [(c.artifact, c.params, spec.options) for c in todo]
-    if spec.backend == "queue" and todo:
-        # Durable queue: cells become leased tasks drained by killable
-        # worker processes (lease recovery, retry/backoff, quarantine).
+            # Every status is persisted — error records are crash
+            # forensics (resume still treats them as pending).
+            _atomic_write_json(
+                os.path.join(spec.cells_dir, f"{cell.cell_id}.json"), record
+            )
+            account(cell.cell_id, record)
+            if progress is not None:
+                progress(
+                    f"[{record['status']}] {cell.cell_id} "
+                    f"({record['elapsed']:.2f}s, pid {record['pid']})"
+                )
+    elif todo:
         from .worker import run_queue_backend
 
-        run_queue_backend(spec, cells, progress=progress)
+        if not resume:
+            # The queue trusts published records (a claimed cell that
+            # has one is acked, not rerun): recomputing withdraws them.
+            for cell in todo:
+                try:
+                    os.unlink(os.path.join(spec.cells_dir,
+                                           f"{cell.cell_id}.json"))
+                except FileNotFoundError:
+                    pass
+        # The fleet already emitted live per-cell progress; only fold
+        # the published records into the totals here.
+        run_queue_backend(spec, todo, progress=progress, rerun=not resume)
         for cell in todo:
             path = os.path.join(spec.cells_dir, f"{cell.cell_id}.json")
             record = _read_cell_record(path)
@@ -822,22 +642,7 @@ def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
                     "queue drained but no valid record was published",
                 ))
             else:
-                # The queue orchestrator already emitted live per-cell
-                # progress; only fold the record into the totals here.
-                account(cell.cell_id, record, emit=False)
-    elif spec.cell_timeout is not None and todo:
-        # Hard limit: per-cell killable processes, regardless of workers.
-        _run_cells_hard_timeout(spec, todo, payloads, finish)
-    elif spec.workers and spec.workers > 1 and len(todo) > 1:
-        ctx = _pool_context(spec)
-        with ctx.Pool(processes=min(spec.workers, len(todo))) as pool:
-            for cell, record in zip(
-                todo, pool.imap(_run_cell_payload, payloads)
-            ):
-                finish(cell, record)
-    else:
-        for cell, payload in zip(todo, payloads):
-            finish(cell, _run_cell_payload(payload))
+                account(cell.cell_id, record)
 
     result = CampaignResult(
         spec=spec,

@@ -3,9 +3,10 @@
 The queue turns a campaign's expanded cell grid into *claimable tasks*
 that any number of worker processes — on one host, or on many hosts
 sharing the campaign directory — drain concurrently.  It is the
-robustness layer under ``repro campaign run --backend=queue`` and the
-standalone ``repro worker`` entrypoint, and the seam a later Redis/HTTP
-backend slots into (same claim/ack/fail verbs, different transport).
+robustness layer under every parallel or hard-timeout ``repro campaign
+run``, ``repro serve`` and the standalone ``repro worker`` entrypoint,
+and the seam a later Redis/HTTP backend slots into (same claim/ack/fail
+verbs, different transport).
 
 Design invariants:
 
@@ -601,6 +602,27 @@ class CellQueue:
                     )
                     reset.append(cell_id)
         return reset
+
+    def withdraw(self, keep, now=None):
+        """Drop runnable tasks whose cell is not in ``keep``; returns ids.
+
+        A run that caps its work (``run_campaign(limit=...)``) must not
+        drain cells an interrupted earlier run left queued.  Pending
+        tasks and expired leases go; live leases and finished tasks
+        stay.  The queue is derived state: a later ``ensure`` inserts
+        the dropped cells again (with a fresh attempt count).
+        """
+        now = self._now(now)
+        keep = set(keep)
+        with self._txn() as conn:
+            self._recover_expired(conn, now)
+            rows = conn.execute(
+                "SELECT cell_id FROM tasks WHERE state='pending'"
+            ).fetchall()
+            dropped = [cell_id for (cell_id,) in rows if cell_id not in keep]
+            conn.executemany("DELETE FROM tasks WHERE cell_id=?",
+                             [(cell_id,) for cell_id in dropped])
+        return dropped
 
     def reset(self, cell_ids, now=None):
         """Return tasks to a fresh pending state (``campaign retry``)."""

@@ -13,9 +13,9 @@ by three functions sharing one ``options`` dict:
 
 The classic serial entry points (``table1_rows`` ...) are thin
 expand→cell→aggregate loops, so the campaign orchestrator
-(:mod:`repro.experiments.campaign`) — which runs the same cells sharded
-across a worker pool and persisted per cell — produces bit-identical
-tables by construction.
+(:mod:`repro.experiments.campaign`) — which runs the same cells
+in-process or on a queue-draining worker fleet and persists each one —
+produces bit-identical tables by construction.
 
 All attacks see only the *resynthesized* locked netlist and the key-input
 names (plus an oracle in OG experiments), never the ground truth.

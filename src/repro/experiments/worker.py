@@ -1,18 +1,26 @@
-"""Queue-draining campaign workers.
+"""Queue-draining campaign workers and the fleet that runs them.
 
-Two entry points share this module:
+Every parallel or hard-timeout campaign cell, and every ``repro serve``
+job cell, runs through this module:
 
-* :func:`run_queue_backend` — the parent side of
-  ``repro campaign run --backend=queue``: populates the durable queue,
-  spawns ``spec.workers`` local worker processes, respawns any that die
-  (fault injection, OOM, SIGKILL), and returns once the queue is fully
-  drained with every task's record published and audited.
+* :func:`run_queue_backend` — the parent side of a ``repro campaign
+  run`` with ``workers > 1`` or a ``cell_timeout``: fills the durable
+  queue with this run's cells, keeps a local :class:`Fleet` at strength
+  while work remains (a worker lost to SIGKILL, OOM or fault injection
+  is respawned, its leased cell recovered via TTL expiry), and returns
+  once the queue is drained with every record published and audited.
+* :class:`Fleet` — the one supervisor of local worker processes, shared
+  by campaigns and ``repro serve``: spawn, respawn, kill.  Every fleet
+  worker runs the same entry point, which retires the worker at its
+  next claim once its supervising parent is gone.
 * :func:`worker_loop` — one worker's life: claim a lease, run the cell,
   publish its canonical JSON record, ack; on failure report to the
   queue (retry with backoff, or quarantine).  ``repro worker <dir>``
   runs exactly this against any campaign directory, so extra processes
   — or other hosts mounting the same storage — can join a drain at any
   time.
+* :func:`run_one_cell_hard` — one cell in a killable child process,
+  the way a worker enforces ``cell_timeout``.
 
 Crash-window recovery, by construction:
 
@@ -28,6 +36,7 @@ Crash-window recovery, by construction:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
@@ -42,9 +51,12 @@ from .queue import CellQueue, QueueCorruption
 from .records import make_cell_record
 
 __all__ = [
+    "Fleet",
     "default_worker_id",
+    "fill_queue",
     "worker_loop",
     "run_queue_backend",
+    "run_one_cell_hard",
     "publish_quarantine_records",
 ]
 
@@ -66,6 +78,112 @@ def _terminal_record_loader(spec):
 
     return load
 
+
+# -- one cell in a killable child process --------------------------------
+
+def _mp_context(spec):
+    if spec.mp_context:
+        return multiprocessing.get_context(spec.mp_context)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+#: Sentinel the cell child sends the moment it starts executing the
+#: payload, so ``cell_timeout`` is billed against cell work, not process
+#: bootstrap (interpreter start + imports under spawn contexts).
+_CELL_STARTED = "__cell_started__"
+
+#: Allowance for process bootstrap before the started sentinel arrives;
+#: a child hung in imports is still killed, just not a healthy
+#: spawn-context child that spent seconds booting.
+_BOOT_GRACE_S = 30.0
+
+#: "The child's pipe is closed and empty": it exited (or was SIGKILLed)
+#: without sending a record.  Distinct from ``None`` ("nothing within
+#: the wait"), so a crash is classified the moment the pipe closes.
+_PIPE_CLOSED = "__pipe_closed__"
+
+
+def _run_cell_child(payload, conn):
+    """Per-cell child entry point: run the cell, pipe the record."""
+    conn.send(_CELL_STARTED)
+    conn.send(_campaign._run_cell_payload(payload))
+    conn.close()
+
+
+def _recv(conn, timeout):
+    """The next message within ``timeout`` s, ``None``, or ``_PIPE_CLOSED``."""
+    if not conn.poll(timeout):
+        return None
+    try:
+        return conn.recv()
+    except EOFError:
+        return _PIPE_CLOSED
+
+
+def _kill_process(proc):
+    """Terminate a process, escalating to SIGKILL if it lingers."""
+    proc.terminate()
+    proc.join(1.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(1.0)
+
+
+def run_one_cell_hard(spec, cell, payload):
+    """Run one cell in a killable child, enforcing ``spec.cell_timeout``.
+
+    Waits for the child's started sentinel within the boot grace, then
+    for its record within ``cell_timeout``.  Returns the raw record (not
+    yet finalized): the child's own, even one that lands inside the kill
+    window; a ``status="timeout"`` record when the child was killed; or
+    an ``error`` record the moment the pipe closes without a result
+    (SIGKILL, OOM, segfault).  Each child starts with a cold per-process
+    ``PrepCache``; the shared prep store is what amortizes preparation
+    across such cells.
+    """
+    ctx = _mp_context(spec)
+    limit = spec.cell_timeout
+    conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_run_cell_child, args=(payload, child_conn),
+                       daemon=True)
+    proc.start()
+    child_conn.close()
+    started = time.monotonic()
+    try:
+        record = _recv(conn, _BOOT_GRACE_S)
+        if record == _CELL_STARTED:
+            started = time.monotonic()
+            record = _recv(conn, limit)
+        if record is None:
+            _kill_process(proc)
+            record = _recv(conn, 0)
+            if record == _CELL_STARTED:
+                record = _recv(conn, 0)
+            if not isinstance(record, dict):
+                return make_cell_record(
+                    artifact=cell.artifact, params=cell.params,
+                    status="timeout", elapsed=time.monotonic() - started,
+                    pid=proc.pid, timed_out=True, cell_timeout=limit,
+                )
+        if record is _PIPE_CLOSED:
+            proc.join(5.0)
+            return make_cell_record(
+                artifact=cell.artifact, params=cell.params, status="error",
+                error=(f"cell worker died without a result "
+                       f"(exitcode {proc.exitcode})"),
+                elapsed=time.monotonic() - started, pid=proc.pid,
+                cell_timeout=limit,
+            )
+        return record
+    finally:
+        proc.join(5.0)
+        if proc.is_alive():
+            _kill_process(proc)
+        conn.close()
+
+
+# -- one worker ----------------------------------------------------------
 
 class _LeaseHeartbeat(threading.Thread):
     """Extends one claimed lease until stopped (its own DB connection).
@@ -203,7 +321,7 @@ def _process_task(spec, queue, config, task, worker_id):
                     cell = _campaign.CampaignCell(
                         task.artifact, task.index, cell_id, task.params
                     )
-                    record = _campaign.run_one_cell_hard(spec, cell, payload)
+                    record = run_one_cell_hard(spec, cell, payload)
                 else:
                     record = _campaign._run_cell_payload(payload)
             except Exception:
@@ -241,24 +359,23 @@ def worker_loop(spec, worker_id=None, max_cells=None, config=None,
                 progress=None, exit_when_drained=True, should_stop=None):
     """Drain the campaign's queue until empty (or ``max_cells`` claims).
 
-    Safe to run concurrently with any number of other workers, locally
-    or from other hosts sharing the campaign directory.  Returns a
-    small outcome histogram.
+    Only drains: whoever owns the run fills the queue first (a campaign
+    and ``repro worker`` through :func:`fill_queue`, the service per
+    job).  Safe to run concurrently with any number of other workers,
+    locally or from other hosts sharing the campaign directory.  Returns
+    a small outcome histogram.
 
     With ``exit_when_drained=False`` the worker outlives the drain and
     keeps polling for new tasks — the shape a ``repro serve`` fleet
     worker runs in, where jobs arrive at any time.  ``should_stop`` is
-    an optional callable checked between claims (e.g. an orphan check
-    against the supervising daemon's pid).
+    an optional callable checked between claims (the fleet's orphan
+    check against its supervisor's pid).
     """
     worker_id = worker_id or default_worker_id()
     config = config or spec.queue_config()
-    cells = _campaign.expand_cells(spec)
-    loader = _terminal_record_loader(spec)
     queue = CellQueue(spec.directory, config)
     stats = {"worker": worker_id, "claimed": 0}
     try:
-        queue.ensure(cells, loader)
         while True:
             if should_stop is not None and should_stop():
                 stats["stopped"] = True
@@ -290,6 +407,8 @@ def worker_loop(spec, worker_id=None, max_cells=None, config=None,
     return stats
 
 
+# -- the fleet -------------------------------------------------------------
+
 def _install_sigterm_exit():
     """Make SIGTERM raise SystemExit so ``finally`` blocks run.
 
@@ -306,35 +425,119 @@ def _install_sigterm_exit():
         pass  # non-main thread or exotic platform: keep the default
 
 
-def _worker_entry(spec_data, worker_id):
-    """Module-level target for spawned worker processes (picklable)."""
-    _install_sigterm_exit()
-    spec = _campaign.CampaignSpec.from_dict(spec_data)
-    worker_loop(spec, worker_id=worker_id)
+def _fleet_worker_entry(spec_data, worker_id, parent_pid, exit_when_drained):
+    """Every fleet worker's entry point: drain, and retire if orphaned.
 
-
-def _service_worker_entry(spec_data, worker_id, parent_pid):
-    """Fleet worker for ``repro serve``: poll forever, retire if orphaned.
-
-    Service workers do not exit on drain (new jobs arrive at any time);
-    instead they watch the supervising daemon's pid and retire when it
-    is gone, so a SIGKILLed daemon cannot leave immortal workers behind.
+    The worker watches its supervisor's pid between claims and retires
+    once it is gone, so a SIGKILLed campaign or daemon — which runs no
+    cleanup — cannot leave workers draining on behind it.
     """
     _install_sigterm_exit()
     spec = _campaign.CampaignSpec.from_dict(spec_data)
     worker_loop(
-        spec, worker_id=worker_id, exit_when_drained=False,
+        spec, worker_id=worker_id, exit_when_drained=exit_when_drained,
         should_stop=lambda: os.getppid() != parent_pid,
     )
 
 
-def _open_queue(spec, cells, config):
-    """Open + populate the queue, rebuilding once if it is corrupt."""
+class Fleet:
+    """This host's queue workers for one campaign directory.
+
+    Workers are NOT daemonic: a daemonic process cannot spawn the
+    per-cell hard-timeout child (:func:`run_one_cell_hard`), which once
+    turned every ``cell_timeout`` cell into a poisoned "daemonic
+    processes are not allowed to have children" failure.  Orphans are
+    prevented twice over: :meth:`stop` kills the fleet, and each worker
+    retires by itself when its supervisor dies.
+
+    ``exit_when_drained`` picks the worker shape: campaign workers retire
+    once the queue drains, service workers poll for new jobs forever.
+    ``respawn_cap`` bounds how many dead workers :meth:`keep` replaces
+    before giving up (``None``: no bound).
+    """
+
+    def __init__(self, spec, size, name, exit_when_drained=True,
+                 respawn_cap=None):
+        self.spec = spec
+        self.size = size
+        self._name = name
+        self._exit_when_drained = exit_when_drained
+        self._respawn_cap = respawn_cap
+        self._ctx = _mp_context(spec)
+        self._procs = []
+        self._spawned = 0
+        self._respawns = 0
+
+    def _spawn(self):
+        self._spawned += 1
+        proc = self._ctx.Process(
+            target=_fleet_worker_entry,
+            args=(self.spec.to_dict(),
+                  f"{self._name}-{self._spawned}-{os.getpid()}",
+                  os.getpid(), self._exit_when_drained),
+        )
+        proc.start()
+        return proc
+
+    def keep(self):
+        """Hold the fleet at ``size`` live workers, replacing dead ones."""
+        while len(self._procs) < self.size:
+            self._procs.append(self._spawn())
+        for i, proc in enumerate(self._procs):
+            if proc.is_alive():
+                continue
+            proc.join()
+            self._respawns += 1
+            if (self._respawn_cap is not None
+                    and self._respawns > self._respawn_cap):
+                raise _campaign.CampaignError(
+                    f"campaign {self.spec.name!r}: queue workers "
+                    f"restarted {self._respawns} times without "
+                    "draining the queue; giving up"
+                )
+            self._procs[i] = self._spawn()
+
+    def alive(self):
+        return sum(1 for proc in self._procs if proc.is_alive())
+
+    def stop(self):
+        """Kill every live worker and reap the fleet."""
+        for proc in self._procs:
+            if proc.is_alive():
+                _kill_process(proc)
+            else:
+                proc.join()
+        self._procs = []
+
+
+# -- the campaign's queue path ---------------------------------------------
+
+def fill_queue(spec, cells=None, rerun=False):
+    """Open the campaign's queue with exactly ``cells`` left to run.
+
+    Grid cells with a finished record are reconciled to done; cells
+    outside ``cells`` with no record are left out, and withdrawn if an
+    interrupted run left them queued, so ``run_campaign(limit=...)``
+    bounds what the fleet runs.  ``rerun`` resets ``cells`` to fresh
+    pending tasks (their records must already be gone).  ``cells=None``
+    queues the whole grid and withdraws nothing — what ``repro worker``
+    does, also on a service directory whose tasks belong to jobs.  A
+    corrupt queue is rebuilt once from the records.
+    """
     loader = _terminal_record_loader(spec)
+    grid = _campaign.expand_cells(spec)
+    if cells is not None:
+        wanted = {cell.cell_id for cell in cells}
+        grid = [cell for cell in grid if cell.cell_id in wanted
+                or loader(cell.cell_id) is not None]
     for _attempt in range(2):
-        queue = CellQueue(spec.directory, config)
+        queue = CellQueue(spec.directory, spec.queue_config())
         try:
-            queue.ensure(cells, loader)
+            queue.ensure(grid, loader)
+            if cells is not None:
+                queue.withdraw(wanted)
+                if rerun:
+                    queue.reset(sorted(wanted))
             return queue
         except QueueCorruption:
             queue.close()
@@ -367,25 +570,22 @@ def _emit_new_records(spec, seen, progress):
         )
 
 
-def run_queue_backend(spec, cells, progress=None):
-    """Drive a queue-backed campaign to full drain (parent side).
+def run_queue_backend(spec, cells, progress=None, rerun=False):
+    """Drain ``cells`` on the durable queue with a local fleet.
 
-    Spawns ``spec.workers`` worker processes and keeps the fleet at
-    strength while work remains — a worker lost to SIGKILL/fault
-    injection is respawned, its leased cell recovered via TTL expiry.
-    Completion requires the queue to be drained *and* every done task's
-    record to pass audit (torn records requeue their cells).
+    Runs ``max(1, spec.workers)`` workers and keeps the fleet at
+    strength while work remains.  Completion requires the queue to be
+    drained *and* every done task's record to pass audit (torn records
+    requeue their cells).  ``rerun`` is :func:`fill_queue`'s.
     """
     config = spec.queue_config()
     loader = _terminal_record_loader(spec)
-    queue = _open_queue(spec, cells, config)
-    ctx = _campaign._pool_context(spec)
-    n_workers = max(1, spec.workers or 1)
+    queue = fill_queue(spec, cells, rerun=rerun)
+    size = max(1, spec.workers or 1)
     # Generous but finite: quarantine bounds failures per cell, so a
     # respawn storm beyond this is a bug, not bad luck.
-    respawn_cap = 8 * max(1, len(cells)) + 4 * n_workers + 16
-    respawns = 0
-    spawned = 0
+    fleet = Fleet(spec, size, "local",
+                  respawn_cap=8 * max(1, len(cells)) + 4 * size + 16)
     # Resumed cells' records predate this run; only report new ones.
     seen_records = set()
     try:
@@ -394,23 +594,6 @@ def run_queue_backend(spec, cells, progress=None):
         )
     except OSError:
         pass
-
-    def spawn():
-        nonlocal spawned
-        spawned += 1
-        # NOT daemonic: a daemonic process cannot spawn the per-cell
-        # hard-timeout child (run_one_cell_hard -> ctx.Process), which
-        # turned every cell_timeout queue cell into a poisoned
-        # "daemonic processes are not allowed to have children" failure.
-        # Orphan prevention is the finally-block _kill_process below.
-        proc = ctx.Process(
-            target=_worker_entry,
-            args=(spec.to_dict(), f"local-{spawned}-{os.getpid()}"),
-        )
-        proc.start()
-        return proc
-
-    workers = [spawn() for _ in range(n_workers)]
     try:
         while True:
             _emit_new_records(spec, seen_records, progress)
@@ -423,39 +606,25 @@ def run_queue_backend(spec, cells, progress=None):
                         # Torn/corrupt records came back as pending:
                         # the fleet must re-run them.
                         drained = False
-                    elif not any(proc.is_alive() for proc in workers):
+                    elif not fleet.alive():
                         # Final only once every worker has retired: a
                         # stale straggler (expired lease) may still
                         # overwrite a record after this audit, so the
                         # drain cannot be declared while one lives.
-                        for proc in workers:
-                            proc.join()
                         break
             except QueueCorruption:
                 queue.close()
                 CellQueue.destroy(spec.directory)
-                queue = _open_queue(spec, cells, config)
+                queue = fill_queue(spec, cells)
                 drained = False
             if not drained:
                 # Work remains: keep the fleet at strength.  (While
                 # drained we deliberately let exited workers lie —
                 # respawning them would churn claim-nothing processes
                 # against the straggler wait above.)
-                for i, proc in enumerate(workers):
-                    if not proc.is_alive():
-                        proc.join()
-                        respawns += 1
-                        if respawns > respawn_cap:
-                            raise _campaign.CampaignError(
-                                f"campaign {spec.name!r}: queue workers "
-                                f"restarted {respawns} times without "
-                                "draining the queue; giving up"
-                            )
-                        workers[i] = spawn()
+                fleet.keep()
             time.sleep(config.poll)
         _emit_new_records(spec, seen_records, progress)
     finally:
-        for proc in workers:
-            if proc.is_alive():
-                _campaign._kill_process(proc)
+        fleet.stop()
         queue.close()

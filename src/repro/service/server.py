@@ -1,13 +1,14 @@
-"""The ``repro serve`` daemon: HTTP API + fleet supervisor.
+"""The ``repro serve`` daemon: HTTP API over a supervised worker fleet.
 
 One :class:`AttackService` owns a *service directory* shaped exactly
 like a campaign directory (``spec.json``, ``cells/``, ``queue.sqlite``)
 plus the job ledger (``jobs.sqlite``) and a ``service.json`` beacon
 (url + pid) for CLI discovery.  The campaign spec has an empty artifact
-list — cells exist only because jobs put them there — and
-``backend="queue"``, so every existing queue tool (``repro worker``,
-``campaign status``, the reconciliation and audit machinery) works on a
-service directory unchanged.
+list — cells exist only because jobs put them there — so every
+existing queue tool (``repro worker``, ``campaign status``, the
+reconciliation and audit machinery) works on a service directory
+unchanged.  The workers are a :class:`repro.experiments.worker.Fleet`,
+the same supervisor and worker entry point a parallel campaign uses.
 
 Job translation: a job's options expand through the ordinary artifact
 registry (``ARTIFACTS[artifact].expand``), and each cell id is prefixed
@@ -37,7 +38,7 @@ from ..experiments import tables as _tables
 from ..experiments.campaign import ARTIFACTS, CampaignCell, CampaignSpec
 from ..experiments.queue import CellQueue, QueueCorruption
 from ..experiments.worker import (
-    _service_worker_entry,
+    Fleet,
     _terminal_record_loader,
     publish_quarantine_records,
 )
@@ -163,7 +164,6 @@ class AttackService:
             cell_timeout=cell_timeout,
             results_root=os.path.dirname(directory),
             mp_context=mp_context,
-            backend="queue",
             queue=dict(queue or {}),
         )
         self.store = JobStore(directory, clock=clock)
@@ -171,8 +171,8 @@ class AttackService:
         self._host = host
         self._port = int(port)
         self._loader = _terminal_record_loader(self.spec)
-        self._fleet = []
-        self._spawned = 0
+        self._fleet = Fleet(self.spec, self.spec.workers, "serve",
+                            exit_when_drained=False)
         self._halt = threading.Event()
         self._supervisor = None
         self._httpd = None
@@ -218,10 +218,7 @@ class AttackService:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
-        for proc in self._fleet:
-            if proc.is_alive():
-                _campaign._kill_process(proc)
-        self._fleet = []
+        self._fleet.stop()
 
     def __enter__(self):
         self.start()
@@ -323,7 +320,7 @@ class AttackService:
             "ok": True,
             "pid": os.getpid(),
             "directory": self.directory,
-            "workers": sum(1 for p in self._fleet if p.is_alive()),
+            "workers": self._fleet.alive(),
             "jobs": self.store.counts(),
             "queue": queue_counts,
         }
@@ -366,28 +363,6 @@ class AttackService:
                 states[cell_id] = "missing"
         return states
 
-    def _spawn_worker(self):
-        ctx = _campaign._pool_context(self.spec)
-        self._spawned += 1
-        proc = ctx.Process(
-            target=_service_worker_entry,
-            args=(self.spec.to_dict(),
-                  f"serve-{self._spawned}-{os.getpid()}",
-                  os.getpid()),
-        )
-        proc.start()
-        return proc
-
-    def _keep_fleet(self):
-        """Hold the shared fleet at ``spec.workers`` live processes."""
-        target = self.spec.workers
-        while len(self._fleet) < target:
-            self._fleet.append(self._spawn_worker())
-        for i, proc in enumerate(self._fleet):
-            if not proc.is_alive():
-                proc.join()
-                self._fleet[i] = self._spawn_worker()
-
     def _enforce_deadlines(self, now=None):
         """Cancel pending cells of every job whose Deadline has expired."""
         now = self._clock() if now is None else now
@@ -423,7 +398,7 @@ class AttackService:
         while not self._halt.wait(_SUPERVISE_PERIOD):
             tick += 1
             try:
-                self._keep_fleet()
+                self._fleet.keep()
                 self._enforce_deadlines()
                 self._reconcile_jobs()
                 if tick % _AUDIT_EVERY == 0:

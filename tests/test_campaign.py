@@ -1,8 +1,9 @@
 """Tier-1 coverage of the campaign orchestrator.
 
-The acceptance bar: a 2-worker ``repro campaign run`` must reproduce
-Table 1's rows bit-identically to the serial path, and a campaign
-interrupted mid-run must complete only the missing cells on resume.
+The acceptance bar: a 2-worker ``repro campaign run`` (the queue path)
+must reproduce Table 1's rows bit-identically to the serial path, and a
+campaign interrupted mid-run must complete only the missing cells on
+resume.
 """
 
 import json
@@ -167,9 +168,31 @@ class TestRun:
         assert recovered.complete and recovered.ran == 1 and recovered.skipped == 5
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` of a live process from ``/proc``, else ``None``."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                kids.append(int(entry))
+    return kids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
 class TestKillAndResume:
     def test_sigkill_mid_campaign_then_resume(self, tmp_path):
-        """Kill a live 2-worker campaign process; resume runs only the rest."""
+        """Kill a live 2-worker campaign process: its fleet retires at
+        the next claim, and the serial resume runs only the rest."""
         import subprocess
         import sys
         import time
@@ -200,8 +223,22 @@ class TestKillAndResume:
             if proc.poll() is not None:
                 break
             time.sleep(0.02)
+        workers = _children(proc.pid)
         proc.kill()
         proc.wait()
+        assert len(workers) == 2, workers
+        at_kill = {e for e in os.listdir(cells_dir) if e.endswith(".json")}
+
+        # Orphaned workers finish the cell in hand, then retire at their
+        # next claim instead of draining the rest of the queue.
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            stats = [_proc_stat(pid) for pid in workers]
+            if all(s is None or s[0] == "Z" for s in stats):
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail(f"fleet workers {workers} outlived their parent")
 
         # Only published records count: a kill landing mid-write leaves a
         # stray <cell>.json.tmp.<pid> behind, which resume ignores.
@@ -209,6 +246,7 @@ class TestKillAndResume:
             e for e in os.listdir(cells_dir) if e.endswith(".json")
         }
         assert done_before, "campaign never persisted a cell before the kill"
+        assert len(done_before) <= len(at_kill) + len(workers)
 
         spec = load_spec("killed", results_root=root)
         spec.workers = 0
@@ -216,6 +254,7 @@ class TestKillAndResume:
         assert outcome.complete
         assert outcome.skipped == len(done_before)
         assert outcome.ran == outcome.total - len(done_before)
+        assert outcome.ran > 0
         # The pre-kill records were not touched by the resume pass.
         assert done_before <= {
             e for e in os.listdir(cells_dir) if e.endswith(".json")
@@ -223,7 +262,7 @@ class TestKillAndResume:
 
 
 class TestHardTimeout:
-    """cell_timeout is a hard limit enforced by killable cell workers."""
+    """cell_timeout is a hard limit: the queue path's killable children."""
 
     def _sleepy_spec(self, tmp_path, cell_timeout=1.0, workers=1, sleep_s=30.0):
         return CampaignSpec(
@@ -279,7 +318,7 @@ class TestHardTimeout:
             outcome.unwrap("selftest")
 
     def test_isolated_runner_matches_serial_when_nothing_times_out(self, tmp_path):
-        """The per-cell process path stays bit-identical to the serial one."""
+        """Per-cell killable children stay bit-identical to the serial path."""
         spec = _spec(tmp_path, workers=2)
         spec.cell_timeout = 300.0
         outcome = run_campaign(spec)
@@ -322,6 +361,16 @@ class TestStatusAndReport:
         text = open(path).read()
         assert "Table I" in text and "c6288" in text
 
+    def test_stored_backend_field_is_ignored(self, tmp_path):
+        """Specs written when ``backend`` picked the path still load."""
+        data = _spec(tmp_path).to_dict()
+        assert "backend" not in data
+        for legacy in ("pool", "queue"):
+            spec = CampaignSpec.from_dict(dict(data, backend=legacy))
+            assert spec.to_dict() == data
+        with pytest.raises(CampaignError, match="unknown spec fields"):
+            CampaignSpec.from_dict(dict(data, bogus=1))
+
     def test_spec_roundtrip_through_disk(self, tmp_path):
         spec = _spec(tmp_path, workers=3, qbf_time_limit=1.5)
         spec.save()
@@ -330,10 +379,10 @@ class TestStatusAndReport:
 
     def test_cell_records_carry_accounting(self, tmp_path):
         """An overrun cell is either killed (``status="timeout"``) or — if
-        it finished inside the watchdog's kill window — keeps its real
-        record; the ``timed_out`` accounting flag is set either way.
-        (Deterministic kill coverage lives in ``TestHardTimeout``, whose
-        cells sleep far longer than a watchdog poll.)"""
+        it finished inside the kill window — keeps its real record; the
+        ``timed_out`` accounting flag is set either way.  (Deterministic
+        kill coverage lives in ``TestHardTimeout``, whose cells sleep
+        far longer than a kill takes.)"""
         spec = _spec(tmp_path)
         spec.cell_timeout = 1e-9  # everything is slower than a nanosecond
         outcome = run_campaign(spec, limit=1)

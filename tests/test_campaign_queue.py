@@ -1,15 +1,16 @@
-"""End-to-end coverage of the durable queue campaign backend.
+"""End-to-end coverage of the campaign's durable queue path.
 
-The acceptance bar (ISSUE 6): for every injected fault schedule — worker
-SIGKILL mid-cell, crash before/after publish, expired leases, torn
-records — a queue-backend campaign terminates with no stranded or
-duplicated cells and its aggregate is bit-identical to the no-fault
-serial run; a cell failing on three distinct claims is quarantined with
-its tracebacks preserved.
+Every campaign with ``workers > 1`` or a ``cell_timeout`` runs here.
+The acceptance bar: for every injected fault schedule — worker SIGKILL
+mid-cell, crash before/after publish, expired leases, torn records — a
+queue campaign terminates with no stranded or duplicated cells and its
+aggregate is bit-identical to the no-fault serial run; a cell failing
+on three distinct claims is quarantined with its tracebacks preserved.
 """
 
 import json
 import os
+import time
 
 import pytest
 
@@ -25,8 +26,14 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.experiments.queue import CellQueue, QueueConfig, queue_path
-from repro.experiments.records import deterministic_view
-from repro.experiments.worker import _process_task, worker_loop
+from repro.experiments.records import deterministic_view, validate_cell_record
+from repro.experiments.worker import (
+    _PIPE_CLOSED,
+    _process_task,
+    fill_queue,
+    run_one_cell_hard,
+    worker_loop,
+)
 
 #: Tuned-for-tests queue: sub-second leases so expiry-driven recovery is
 #: fast, near-zero backoff so retries do not dominate wall-clock.
@@ -58,7 +65,6 @@ def _qspec(tmp_path, name, cells=4, workers=2, queue=None, **options):
         workers=workers,
         results_root=str(tmp_path),
         mp_context="fork",
-        backend="queue",
         queue=dict(QUEUE_FAST, **(queue or {})),
     )
 
@@ -115,15 +121,17 @@ class TestQueueBackend:
         spec = _qspec(tmp_path, "q-worker", cells=3, workers=1)
         spec.save()
         os.makedirs(spec.cells_dir, exist_ok=True)
+        fill_queue(spec).close()
         stats = worker_loop(spec, worker_id="solo")
         assert stats["claimed"] == 3 and stats["ok"] == 3
         counts = _counts(spec)
         assert counts["done"] == 3 and counts["pending"] == 0
 
     def test_resume_skips_cells_published_by_earlier_workers(self, tmp_path):
-        spec = _qspec(tmp_path, "q-resume", cells=4, workers=1)
+        spec = _qspec(tmp_path, "q-resume", cells=4, workers=2)
         spec.save()
         os.makedirs(spec.cells_dir, exist_ok=True)
+        fill_queue(spec).close()
         stats = worker_loop(spec, worker_id="first", max_cells=2)
         assert stats["claimed"] == 2
         done = sorted(os.listdir(spec.cells_dir))
@@ -157,6 +165,45 @@ class TestQueueBackend:
         assert "injected failure (cell 1, attempt 1)" in task.failures[0]["error"]
         record = _record(spec, "selftest--cell=1")
         assert record["status"] == "ok" and record["attempt"] == 2
+
+    def test_limit_bounds_the_cells_the_fleet_runs(self, tmp_path):
+        spec = _qspec(tmp_path, "q-limit", cells=4, workers=2)
+        outcome = run_campaign(spec, limit=1)
+        assert not outcome.complete
+        assert outcome.ran == 1 and outcome.skipped == 0
+        assert os.listdir(spec.cells_dir) == ["selftest--cell=0.json"]
+        status = campaign_status(spec=spec)
+        assert status["done"] == 1 and status["total"] == 4
+        assert status["artifacts"]["selftest"] == {"done": 1, "total": 4}
+
+    def test_limit_withdraws_cells_an_interrupted_run_left_queued(
+        self, tmp_path
+    ):
+        spec = _qspec(tmp_path, "q-limit-left", cells=4, workers=2)
+        spec.save()
+        os.makedirs(spec.cells_dir, exist_ok=True)
+        fill_queue(spec).close()  # a killed run queued the whole grid
+        outcome = run_campaign(spec, limit=1)
+        assert outcome.ran == 1
+        assert os.listdir(spec.cells_dir) == ["selftest--cell=0.json"]
+        assert _counts(spec)["pending"] == 0
+        resumed = run_campaign(spec)
+        assert resumed.complete and resumed.skipped == 1 and resumed.ran == 3
+
+    def test_no_resume_recomputes_every_cell(self, tmp_path):
+        reference = _serial_reference(tmp_path, cells=3)
+        spec = _qspec(tmp_path, "q-rerun", cells=3, workers=2)
+        run_campaign(spec)
+        paths = [os.path.join(spec.cells_dir, f"selftest--cell={cell}.json")
+                 for cell in range(3)]
+        stale = {path: os.stat(path).st_mtime_ns for path in paths}
+        outcome = run_campaign(spec, resume=False)
+        assert outcome.ran == 3 and outcome.skipped == 0
+        _assert_converged(spec, outcome, reference, cells=3)
+        for path, mtime in stale.items():
+            assert os.stat(path).st_mtime_ns != mtime, "cell not recomputed"
+            with open(path) as handle:
+                assert json.load(handle)["attempt"] == 1
 
 
 class TestQuarantine:
@@ -196,7 +243,7 @@ class TestQuarantine:
         marker_dir = tmp_path / "fix"
         marker_dir.mkdir()
         spec = _qspec(
-            tmp_path, "q-retry", cells=3, workers=1,
+            tmp_path, "q-retry", cells=3, workers=2,
             queue={"max_attempts": 2},
             fail_cells=[1], fail_marker_dir=str(marker_dir),
         )
@@ -314,7 +361,7 @@ class TestFaultSchedules:
 class TestQueueCorruption:
     def test_corrupt_queue_is_rebuilt_from_records(self, tmp_path):
         reference = _serial_reference(tmp_path, cells=3)
-        spec = _qspec(tmp_path, "q-corrupt", cells=3, workers=1)
+        spec = _qspec(tmp_path, "q-corrupt", cells=3, workers=2)
         run_campaign(spec)
         # Corrupt the queue AND lose one record: the rebuild must trust
         # the records, re-running exactly the missing cell.
@@ -329,7 +376,7 @@ class TestQueueCorruption:
         assert counts["done"] == 3
 
     def test_status_reports_corrupt_queue(self, tmp_path):
-        spec = _qspec(tmp_path, "q-status", cells=2, workers=1)
+        spec = _qspec(tmp_path, "q-status", cells=2, workers=2)
         run_campaign(spec)
         with open(queue_path(spec.directory), "w") as handle:
             handle.write("garbage")
@@ -337,7 +384,7 @@ class TestQueueCorruption:
         assert status["queue"] == {"corrupt": True}
 
     def test_status_includes_queue_counts(self, tmp_path):
-        spec = _qspec(tmp_path, "q-status-ok", cells=2, workers=1)
+        spec = _qspec(tmp_path, "q-status-ok", cells=2, workers=2)
         run_campaign(spec)
         status = campaign_status(spec=spec)
         assert status["queue"]["done"] == 2
@@ -351,7 +398,7 @@ class TestCli:
         root = str(tmp_path)
         rc = cli_main([
             "campaign", "run", "qcli", "--artifacts", "selftest",
-            "--backend", "queue", "--workers", "1",
+            "--workers", "2",
             "--lease-ttl", "5", "--max-attempts", "2",
             "--backoff-base", "0.01", "--root", root,
         ])
@@ -359,9 +406,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "complete" in out and "poisoned=0" in out
         stored = load_spec("qcli", results_root=root)
-        assert stored.backend == "queue"
+        assert stored.workers == 2
+        assert os.path.exists(queue_path(stored.directory))
         assert stored.queue["lease_ttl"] == 5
         assert stored.queue["max_attempts"] == 2
+
+    def test_run_exits_nonzero_when_a_cell_is_poisoned(self, tmp_path,
+                                                       capsys):
+        spec = _qspec(tmp_path, "qcli-poison", cells=2,
+                      queue={"max_attempts": 1}, fail_cells=[1])
+        spec.save()
+        rc = cli_main(["campaign", "run", "qcli-poison",
+                       "--root", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "complete" in captured.out and "poisoned=1" in captured.out
+        assert "selftest--cell=1 quarantined" in captured.err
 
     def test_worker_command_drains_a_campaign_directory(
         self, tmp_path, capsys
@@ -383,7 +443,7 @@ class TestCli:
         marker_dir.mkdir()
         root = str(tmp_path)
         spec = _qspec(
-            tmp_path, "qcli-retry", cells=2, workers=1,
+            tmp_path, "qcli-retry", cells=2, workers=2,
             queue={"max_attempts": 1},
             fail_cells=[0], fail_marker_dir=str(marker_dir),
         )
@@ -400,7 +460,7 @@ class TestCli:
 
     def test_status_command_prints_queue_counts(self, tmp_path, capsys):
         root = str(tmp_path)
-        spec = _qspec(tmp_path, "qcli-status", cells=2, workers=1)
+        spec = _qspec(tmp_path, "qcli-status", cells=2, workers=2)
         run_campaign(spec)
         capsys.readouterr()
         rc = cli_main(["campaign", "status", "qcli-status", "--root", root])
@@ -438,7 +498,7 @@ class TestQueueConfigValidation:
 
 
 def _seed_queue(spec):
-    """Save the spec and seed its queue exactly as ``worker_loop`` would."""
+    """Save the spec and seed its queue with every cell of the grid."""
     spec.save()
     os.makedirs(spec.cells_dir, exist_ok=True)
     queue = CellQueue(spec.directory, spec.queue_config())
@@ -557,13 +617,13 @@ class TestCancelVerb:
 
 
 class TestQueueCellTimeout:
-    """Regression for the daemonized-fleet bug (ISSUE 9 satellite).
+    """``cell_timeout`` on the queue: the real per-cell child runner.
 
-    ``backend="queue"`` + ``cell_timeout`` requires fleet workers to
-    spawn killable per-cell child processes; daemonic workers cannot
-    (``daemonic processes are not allowed to have children``), which
-    turned every cell into a retried infrastructure failure and
-    quarantined the whole campaign.
+    Also the regression for the daemonized-fleet bug: a ``cell_timeout``
+    requires fleet workers to spawn killable per-cell child processes;
+    daemonic workers cannot (``daemonic processes are not allowed to
+    have children``), which turned every cell into a retried
+    infrastructure failure and quarantined the whole campaign.
     """
 
     def test_slow_cell_killed_at_limit_records_timeout(self, tmp_path):
@@ -585,29 +645,43 @@ class TestQueueCellTimeout:
             # Killed on the first claim -- not retried into quarantine.
             assert record["attempt"] == 1
 
-    def test_converges_bit_identically_with_pool_backend(self, tmp_path):
-        options = {"cells": 4, "sleep_s": 30.0, "slow_cells": [2]}
-        pool = CampaignSpec(
-            name="pool-timeout-ref",
-            artifacts=("selftest",),
-            options=dict(options),
-            workers=2,
-            cell_timeout=1.0,
-            results_root=str(tmp_path / "pool-root"),
-            mp_context="fork",
-        )
-        pool_outcome = run_campaign(pool)
-        assert pool_outcome.timeouts == ["selftest--cell=2"]
-        spec = _qspec(tmp_path, "q-vs-pool", workers=2, **options)
+    def test_converges_bit_identically_with_serial_reference(self, tmp_path):
+        reference = _serial_reference(tmp_path, cells=4)
+        spec = _qspec(tmp_path, "q-vs-serial", workers=2, cells=4,
+                      sleep_s=30.0, slow_cells=[2])
         spec.cell_timeout = 1.0
         outcome = run_campaign(spec)
         assert outcome.complete, outcome.summary()
         assert outcome.timeouts == ["selftest--cell=2"]
-        assert outcome.tables["selftest"] == pool_outcome.tables["selftest"]
-        for cell in range(4):
+        header, rows = reference
+        assert outcome.tables["selftest"] == (
+            header, [row for row in rows if row[0] != 2]
+        )
+        serial_dir = tmp_path / "serial-ref-root" / "serial-ref" / "cells"
+        for cell in (0, 1, 3):
             cell_id = f"selftest--cell={cell}"
+            with open(serial_dir / f"{cell_id}.json") as handle:
+                serial_record = json.load(handle)
             assert deterministic_view(_record(spec, cell_id)) == \
-                deterministic_view(_record(pool, cell_id))
+                deterministic_view(serial_record)
+
+    def test_self_killed_child_yields_its_error_within_seconds(self,
+                                                               tmp_path):
+        """A child that dies without a result is a crash the moment its
+        pipe closes, not a timeout after ``cell_timeout`` (30 s here)."""
+        spec = _qspec(tmp_path, "q-eof", cells=1, kill_cells=[0])
+        spec.cell_timeout = 30.0
+        (cell,) = expand_cells(spec)
+        t0 = time.monotonic()
+        record = run_one_cell_hard(
+            spec, cell, (cell.artifact, cell.params, spec.options)
+        )
+        assert time.monotonic() - t0 < 5.0
+        assert record["status"] == "error"
+        assert "died without a result" in record["error"]
+        assert validate_cell_record(record) is not None
+        # The closed-pipe sentinel can never pass for a record.
+        assert validate_cell_record(_PIPE_CLOSED) is None
 
     def test_worker_sigkills_still_recover_with_timeout(self, tmp_path,
                                                         monkeypatch):

@@ -13,8 +13,8 @@ Covers the registry tentpole end to end:
   when a corpus netlist is edited, and per-technique extra-parameter
   keying (``sfll_flex`` cubes, not just ``sfll_hd`` h);
 * campaigns: a grid naming ``corpus:`` and ``gen:`` circuits side by
-  side through the same expand/cell/aggregate path, identical under the
-  pool and queue backends, with cell records carrying circuit
+  side through the same expand/cell/aggregate path, identical on the
+  serial and the queue path, with cell records carrying circuit
   provenance (source + digest);
 * the ``repro circuits list|show|verify`` CLI.
 """
@@ -306,14 +306,13 @@ class TestPreparation:
         assert len(more.locked.metadata["cubes"]) == 3
 
 
-def _grid_spec(name, tmp_path, circuits, backend="pool", workers=0):
+def _grid_spec(name, tmp_path, circuits, workers=0):
     return CampaignSpec(
         name=name,
         artifacts=("table2",),
         options={"circuits": list(circuits), "techniques": ["sarlock"],
                  "scale": "tiny"},
         workers=workers,
-        backend=backend,
         results_root=str(tmp_path / "campaigns"),
     )
 
@@ -336,9 +335,9 @@ def _cell_records(spec):
 
 
 class TestCampaigns:
-    @pytest.mark.parametrize("backend", ["pool", "queue"])
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "queue"])
     def test_mixed_source_grid_cold_equals_warm(self, tmp_path, monkeypatch,
-                                                backend):
+                                                workers):
         """corpus: and gen: cells share one campaign path, bit-identically."""
         monkeypatch.setenv("REPRO_PREP_STORE_DIR", str(tmp_path / "store"))
         from repro.experiments import prepstore
@@ -347,10 +346,10 @@ class TestCampaigns:
         circuits = ("corpus:c17", "c6288")
         clear_prep_cache()
         cold = run_campaign(
-            _grid_spec(f"cold-{backend}", tmp_path, circuits, backend=backend))
+            _grid_spec(f"cold-{workers}", tmp_path, circuits, workers=workers))
         clear_prep_cache()
         warm = run_campaign(
-            _grid_spec(f"warm-{backend}", tmp_path, circuits, backend=backend))
+            _grid_spec(f"warm-{workers}", tmp_path, circuits, workers=workers))
         assert _deterministic_rows(cold) == _deterministic_rows(warm)
         # Row identity keeps the spec's spelling of each circuit id.
         first_col = [row[0] for row in _deterministic_rows(cold)]

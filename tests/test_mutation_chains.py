@@ -17,10 +17,10 @@ rewrite passes, in-place fanin swaps — to random hosts and asserts after
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from factories import build_random_circuit
-from repro.locking import TECHNIQUES
+from repro.locking import TECHNIQUES, LockingError
 from repro.netlist import cone
 from repro.netlist.cone import support, transitive_fanin, transitive_fanout
 from repro.netlist.gate import VARIADIC_TYPES
@@ -44,7 +44,9 @@ def _lock_and_fold(circuit, rng):
     """Lock with a random technique, then fold the correct key back in.
 
     ``with_key`` keeps the original input/output interface, so the chain
-    invariant (same function as the seed host) is preserved.
+    invariant (same function as the seed host) is preserved.  The step
+    is skipped when its precondition fails: a key-name collision, or a
+    host too small for the technique (``LockingError`` by contract).
     """
     technique = rng.choice(LOCK_TECHNIQUES)
     key_width = 4
@@ -53,7 +55,12 @@ def _lock_and_fold(circuit, rng):
         # conventional names; locking again would collide.
         return circuit
     lock = TECHNIQUES[technique]
-    locked = lock(circuit, key_width, seed=rng.randrange(1 << 16))
+    try:
+        locked = lock(circuit, key_width, seed=rng.randrange(1 << 16))
+    except LockingError:
+        # Constant propagation can shrink a host below the key width
+        # (e.g. two lockable wires left for four XOR key gates).
+        return circuit
     folded = locked.with_key(locked.correct_key)
     # Fold the key constants through and sweep the dead locking logic so
     # chained lock steps start from a clean namespace.
@@ -122,8 +129,14 @@ def _check_step(circuit, inputs, mask, reference_outputs, words):
 
 
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 10**6), data=st.data())
-def test_mutation_chain_preserves_function_and_caches(seed, data):
+@given(
+    seed=st.integers(0, 10**6),
+    names=st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=3,
+                   max_size=7),
+)
+# Two constprops leave this host 2 lockable wires; xor_lock needs 4.
+@example(seed=89, names=["constprop", "constprop", "lock"])
+def test_mutation_chain_preserves_function_and_caches(seed, names):
     rng = random.Random(("mutchain", seed).__str__())
     circuit = build_random_circuit(
         n_inputs=7, n_gates=35, n_outputs=3, seed=seed
@@ -133,10 +146,6 @@ def test_mutation_chain_preserves_function_and_caches(seed, data):
     reference = circuit.evaluate_interpreted(words, mask, outputs_only=True)
     _check_step(circuit, circuit.inputs, mask, reference, words)
 
-    names = data.draw(
-        st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=3, max_size=7),
-        label="chain",
-    )
     for name in names:
         before_epoch = circuit.mutation_epoch
         mutated = MUTATIONS[name](circuit, rng)
