@@ -65,6 +65,12 @@ _SUPERVISE_PERIOD = 0.2
 #: Every N-th supervisor tick also runs the expensive audit pass.
 _AUDIT_EVERY = 25
 
+#: The error a job carries into each terminal state the cells imply.
+_STATE_ERRORS = {
+    "failed": "one or more cells were quarantined (poisoned)",
+    "expired": "deadline expired before all cells finished",
+}
+
 
 class ServiceError(ValueError):
     """A request the service must reject (HTTP 400)."""
@@ -286,7 +292,9 @@ class AttackService:
                     queue.cancel(job=job_id)
                 finally:
                     queue.close()
-            self.store.set_state(job_id, "cancelled")
+                # Under the lock, so a concurrent settle cannot read the
+                # cancelled cells first and record the job as expired.
+                self.store.set_state(job_id, "cancelled")
         return self.job_status(job_id)
 
     def job_status(self, job_id):
@@ -294,9 +302,8 @@ class AttackService:
         job = self.store.get(job_id)
         if job is None:
             return None
-        cell_states = self._cell_states(job)
+        job, cell_states = self._settle(job)
         status = job.to_dict()
-        status["state"] = derive_job_state(job, cell_states)
         status["cell_states"] = cell_states
         counts = {}
         for state in cell_states.values():
@@ -381,17 +388,26 @@ class AttackService:
             expired.append(job.job_id)
         return expired
 
+    def _settle(self, job):
+        """Store the state a job's cells imply; returns (job, cell states).
+
+        Every reader goes through here, so a terminal state is never
+        reported before it is stored together with its error.
+        """
+        with self._lock:
+            job = self.store.get(job.job_id)
+            cell_states = self._cell_states(job)
+            derived = derive_job_state(job, cell_states)
+            if derived != job.state:
+                job = self.store.set_state(
+                    job.job_id, derived, error=_STATE_ERRORS.get(derived)
+                )
+        return job, cell_states
+
     def _reconcile_jobs(self):
         """Re-derive every live job's state from its cells."""
         for job in self.store.live_jobs():
-            derived = derive_job_state(job, self._cell_states(job))
-            if derived != job.state:
-                error = None
-                if derived == "failed":
-                    error = "one or more cells were quarantined (poisoned)"
-                elif derived == "expired":
-                    error = "deadline expired before all cells finished"
-                self.store.set_state(job.job_id, derived, error=error)
+            self._settle(job)
 
     def _supervise(self):
         tick = 0

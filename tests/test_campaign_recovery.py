@@ -19,6 +19,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.queue import CellQueue
 from repro.experiments.records import validate_cell_record
+from repro.experiments.worker import _PIPE_CLOSED, _recv
 
 #: Near-zero backoff so the retry of a crashed cell is immediate.
 QUEUE_FAST = {"backoff_base": 0.01, "backoff_cap": 0.05, "poll": 0.02}
@@ -158,3 +159,21 @@ class TestWorkerDeathRecovery:
         status = campaign_status(spec=spec)
         assert status["poisoned"] == ["selftest--cell=2"]
         assert status["pending"] == []
+
+
+class TestPipeClosedSentinel:
+    def test_drain_returns_sentinel_on_eof(self):
+        """A SIGKILLed child's pipe must read as _PIPE_CLOSED, not None:
+        crash classification may not depend on a poll-window race."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        parent, child = ctx.Pipe(duplex=False)
+        child.close()  # simulate the child dying with nothing buffered
+        try:
+            assert _recv(parent, 0) is _PIPE_CLOSED
+        finally:
+            parent.close()
+
+    def test_sentinel_is_not_a_valid_record(self):
+        assert validate_cell_record(_PIPE_CLOSED) is None
